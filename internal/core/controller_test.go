@@ -10,6 +10,7 @@ import (
 	"tableau/internal/planner"
 	"tableau/internal/sim"
 	"tableau/internal/table"
+	"tableau/internal/trace"
 	"tableau/internal/vmm"
 )
 
@@ -446,5 +447,43 @@ func TestMaxHistoryBounds(t *testing.T) {
 	}
 	if ctrl.Epoch().Version != full.Epoch().Version {
 		t.Fatalf("current epoch diverged: %d vs %d", ctrl.Epoch().Version, full.Epoch().Version)
+	}
+}
+
+// TestPlanOriginTrace: every installed epoch emits one EvPlanOrigin
+// record, and the derived metrics classify the pipeline correctly —
+// scratch first (nothing to diff), then incremental or cached.
+func TestPlanOriginTrace(t *testing.T) {
+	s, _, ctrl, ids, _ := churnRig(t, 2, 2, 3)
+	s.Cache = planner.NewCache(0)
+	s.Incremental = true
+	tracer := trace.New(1 << 12)
+	tracer.Bind(s.Cores(), s.NumSlots())
+	ctrl.Tracer = tracer
+
+	// The last op returns to the first flush's population, whose
+	// scratch plan the cache holds.
+	for _, op := range []Op{
+		{Kind: OpActivate, Slot: ids[2]},
+		{Kind: OpActivate, Slot: ids[3]},
+		{Kind: OpDeactivate, Slot: ids[3]},
+	} {
+		ctrl.Submit(op)
+		if tr, err := ctrl.Flush(); err != nil || tr.Version == 0 {
+			t.Fatalf("flush: %v (%+v)", err, tr)
+		}
+	}
+	var origins []string
+	for _, r := range tracer.Merged() {
+		if r.Type == trace.EvPlanOrigin {
+			origins = append(origins, trace.PlanOriginName(r.Arg0))
+		}
+	}
+	if got, want := fmt.Sprint(origins), "[scratch incremental cached]"; got != want {
+		t.Fatalf("plan origins = %s, want %s (one per installed epoch)", got, want)
+	}
+	m := tracer.Metrics()
+	if m.PlansScratch != 1 || m.PlansIncremental != 1 || m.PlansCached != 1 {
+		t.Errorf("metrics disagree with the records: %+v", *m)
 	}
 }

@@ -383,8 +383,8 @@ func (s *System) planLocked(fn PlanFunc) (*table.Table, *planner.Result, error) 
 	if s.Incremental {
 		// Capture the planner-universe result before the remap below
 		// rewrites guarantees into slot ids: it seeds the next plan's
-		// dirty-core diff. Any successful plan (local, cached, remote,
-		// speculative) is the population the next batch perturbs.
+		// dirty-core diff. Any successful plan (local, cached or
+		// remote) is the population the next batch perturbs.
 		s.prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res.Clone()}
 	}
 	tbl, err := s.remapLocked(res.Table, specSlot, fn == nil)
@@ -441,9 +441,7 @@ func (s *System) affinityForLocked(specs []planner.VCPUSpec, online []int) (map[
 // the configured options adjusted for split rotation, the surviving
 // topology (the planner's admission check is the gate that decides
 // whether a degraded host can still carry the reserved utilization),
-// affinity narrowing, and the cache's slice memo. Controller
-// speculation uses the same derivation so a speculative key matches the
-// flush that later consumes it exactly.
+// affinity narrowing, and the cache's slice memo.
 func (s *System) planOptsLocked(specs []planner.VCPUSpec) (planner.Options, error) {
 	opts := s.plannerOpts
 	if s.RotateSplits {

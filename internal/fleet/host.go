@@ -476,25 +476,21 @@ func (h *Host) recoverLocked() ([]string, error) {
 	sys.Cache = h.cache
 
 	// The recovered epoch's slot activation set, independent of the
-	// in-memory maps: decode and fold the image exactly as Recover did.
-	rep, err := journal.DecodeAll(h.downImage)
-	if err != nil || len(rep.Records) == 0 {
-		return nil, fmt.Errorf("fleet: host %d image replay: %w", h.id, err)
-	}
-	folded := journal.FoldEpochs(rep.Records)
-	last := folded[len(folded)-1]
-	if len(last.Slots) != len(h.slotGuest) {
-		return nil, fmt.Errorf("fleet: host %d journal has %d slots, host has %d", h.id, len(last.Slots), len(h.slotGuest))
+	// in-memory maps: Recover rebuilt the System from the image's last
+	// folded record.
+	if n := sys.NumSlots(); n != len(h.slotGuest) {
+		return nil, fmt.Errorf("fleet: host %d journal has %d slots, host has %d", h.id, n, len(h.slotGuest))
 	}
 
 	var ghosts, freedSlots []int
 	var freedNames, recovered []string
-	for s := 1; s < len(last.Slots); s++ {
+	for s := 1; s < len(h.slotGuest); s++ {
 		occupied := h.slotGuest[s].Name != ""
+		active := sys.Active(s)
 		switch {
-		case last.Slots[s].Active && !occupied:
+		case active && !occupied:
 			ghosts = append(ghosts, s)
-		case !last.Slots[s].Active && occupied:
+		case !active && occupied:
 			freedSlots = append(freedSlots, s)
 			freedNames = append(freedNames, h.slotGuest[s].Name)
 		case occupied:

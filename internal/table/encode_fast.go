@@ -20,12 +20,6 @@ func (t *Table) vcpusEncodedSize() int {
 	return n
 }
 
-// coreEncodedSize is one core's segment: id, slice length, allocation
-// list, slice index.
-func coreEncodedSize(ct *CoreTable) int {
-	return 4 + 8 + 4 + 20*len(ct.Allocs) + 4 + 4*len(ct.slices)
-}
-
 // coreEncodedSizeCompact is the segment with the slice index omitted
 // (slice length 0, index count 0 — Decode rebuilds the index).
 func coreEncodedSizeCompact(ct *CoreTable) int {
@@ -131,15 +125,6 @@ func grow(dst []byte, need int) ([]byte, []byte) {
 	return dst, dst[len(dst) : len(dst)+need]
 }
 
-// AppendEncoded appends the table's binary wire encoding to dst and
-// returns the extended slice. It produces exactly the bytes Encode
-// writes, but fills a single buffer with direct offset arithmetic —
-// the epoch-commit path encodes a full table per churn flush, and the
-// per-field writer calls of a streaming encoder dominated that cost.
-func (t *Table) AppendEncoded(dst []byte) ([]byte, error) {
-	return t.appendEncodedReusing(dst, nil, nil, false)
-}
-
 // AppendEncodedCompact appends the table's wire encoding with the
 // per-core slice index omitted (slice length and index count encoded as
 // zero). The index is a pure function of the allocation lists, so
@@ -147,41 +132,31 @@ func (t *Table) AppendEncoded(dst []byte) ([]byte, error) {
 // tables by roughly an order of magnitude — the index typically dwarfs
 // the allocation lists it summarizes.
 func (t *Table) AppendEncodedCompact(dst []byte) ([]byte, error) {
-	return t.appendEncodedReusing(dst, nil, nil, true)
+	return t.appendEncoded(dst, true, nil, nil)
 }
 
-// AppendEncodedReusingCompact is AppendEncodedCompact with the same
-// cross-epoch segment reuse as AppendEncodedReusing; prevBytes must be
-// prev's compact encoding. In compact form a core's segment depends
-// only on its id and allocation list, so reuse needs no slice-length
-// agreement.
+// AppendEncodedReusingCompact is AppendEncodedCompact with cross-epoch
+// segment reuse: any core whose id and full allocation list are
+// unchanged from prev has its encoded segment copied verbatim out of
+// prevBytes instead of being re-encoded field by field. In compact form
+// a core's segment depends only on those two, so the copy is exactly
+// the bytes a full encode would produce. prevBytes must be prev's
+// compact encoding (its length is verified against
+// prev.EncodedSizeCompact()); on any mismatch the call degrades to a
+// full encode.
 func (t *Table) AppendEncodedReusingCompact(dst []byte, prev *Table, prevBytes []byte) ([]byte, error) {
 	if prev == nil || prev.Len != t.Len || len(prev.Cores) != len(t.Cores) ||
 		len(prevBytes) != prev.EncodedSizeCompact() {
 		prev, prevBytes = nil, nil
 	}
-	return t.appendEncodedReusing(dst, prev, prevBytes, true)
+	return t.appendEncoded(dst, true, prev, prevBytes)
 }
 
-// AppendEncodedReusing is AppendEncoded with cross-epoch segment
-// reuse: any core whose id, slice length, and full allocation list are
-// unchanged from prev has its encoded segment copied verbatim out of
-// prevBytes instead of being re-encoded field by field. The slice
-// index is a pure function of (table length, allocation intervals,
-// slice length) — see TransplantSlices — so segment equality follows
-// from those checks and never has to be re-derived from the index
-// itself. prevBytes must be prev's exact encoding (its length is
-// verified against prev.EncodedSize()); on any mismatch the call
-// degrades to a full encode.
-func (t *Table) AppendEncodedReusing(dst []byte, prev *Table, prevBytes []byte) ([]byte, error) {
-	if prev == nil || prev.Len != t.Len || len(prev.Cores) != len(t.Cores) ||
-		len(prevBytes) != prev.EncodedSize() {
-		prev, prevBytes = nil, nil
-	}
-	return t.appendEncodedReusing(dst, prev, prevBytes, false)
-}
-
-func (t *Table) appendEncodedReusing(dst []byte, prev *Table, prevBytes []byte, compact bool) ([]byte, error) {
+// appendEncoded fills a single buffer with direct offset arithmetic —
+// the epoch-commit path encodes a full table per churn flush, and the
+// per-field writer calls of a streaming encoder dominated that cost. A
+// non-nil prev (compact encodings only) supplies reusable segments.
+func (t *Table) appendEncoded(dst []byte, compact bool, prev *Table, prevBytes []byte) ([]byte, error) {
 	need := t.EncodedSize()
 	if compact {
 		need = t.EncodedSizeCompact()
@@ -201,19 +176,12 @@ func (t *Table) appendEncodedReusing(dst []byte, prev *Table, prevBytes []byte, 
 		ct := &t.Cores[ci]
 		if prev != nil {
 			pc := &prev.Cores[ci]
-			seg := coreEncodedSize(pc)
-			same := ct.Core == pc.Core && slices.Equal(ct.Allocs, pc.Allocs)
-			if compact {
-				seg = coreEncodedSizeCompact(pc)
-			} else {
-				same = same && ct.SliceLen == pc.SliceLen && len(ct.slices) == len(pc.slices)
-			}
-			if same {
-				o += copy(buf[o:], prevBytes[prevOff:prevOff+seg])
-				prevOff += seg
+			seg := prevBytes[prevOff : prevOff+coreEncodedSizeCompact(pc)]
+			prevOff += len(seg)
+			if ct.Core == pc.Core && slices.Equal(ct.Allocs, pc.Allocs) {
+				o += copy(buf[o:], seg)
 				continue
 			}
-			prevOff += seg
 		}
 		o += encodeCore(buf[o:], ct, compact)
 	}
@@ -228,7 +196,7 @@ func (t *Table) appendEncodedReusing(dst []byte, prev *Table, prevBytes []byte, 
 // O(1) lookup structures (a table with no slice data is still valid and
 // the decoder rebuilds slices on demand).
 func (t *Table) Encode(w io.Writer) error {
-	buf, err := t.AppendEncoded(nil)
+	buf, err := t.appendEncoded(nil, false, nil, nil)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package traceutil
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -102,24 +103,31 @@ func TestCalibrationCountsOneTimerPair(t *testing.T) {
 // TestCalibrationWithinSaneBounds checks the real-clock constant: it
 // must be positive, well under a microsecond on any plausible host, and
 // strictly below the outer-loop estimate it used to be confused with.
+// The two are measured in interleaved rounds and compared min against
+// min, so a round slowed by preemption on a loaded host skews neither
+// side; the exact double-count regression is pinned by the fake-clock
+// test above.
 func TestCalibrationWithinSaneBounds(t *testing.T) {
-	const probes = 20_000
-	got := calibrateTimerOverhead(probes, time.Now)
+	const rounds, probes = 9, 5_000
+	got, outer := math.Inf(1), math.Inf(1)
+	for r := 0; r < rounds; r++ {
+		got = min(got, calibrateTimerOverhead(probes, time.Now))
+		// The outer-loop estimate pays two full clock calls plus loop
+		// overhead per probe; the per-pair constant must come in clearly
+		// below it.
+		start := time.Now()
+		for i := 0; i < probes; i++ {
+			p := time.Now()
+			_ = time.Since(p)
+		}
+		outer = min(outer, float64(time.Since(start).Nanoseconds())/probes)
+	}
 	if got <= 0 {
 		t.Fatalf("calibrated timer overhead %v ns, want > 0", got)
 	}
 	if got >= 2000 {
 		t.Fatalf("calibrated timer overhead %v ns, want < 2000 (one clock-pair gap)", got)
 	}
-	// The outer-loop estimate pays two full clock calls plus loop
-	// overhead per probe; the per-pair constant must come in clearly
-	// below it.
-	start := time.Now()
-	for i := 0; i < probes; i++ {
-		p := time.Now()
-		_ = time.Since(p)
-	}
-	outer := float64(time.Since(start).Nanoseconds()) / probes
 	if got >= outer {
 		t.Fatalf("calibrated constant %v ns >= outer-loop estimate %v ns: calibration still double-counts", got, outer)
 	}

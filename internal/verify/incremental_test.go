@@ -20,8 +20,8 @@ func (nullSink) PushTable(*table.Table) error { return nil }
 // without the simulator: bursts are submitted and flushed in time
 // order, exactly like the run harness does from engine callbacks. With
 // scratch set every plan is computed from nothing; otherwise the
-// production fast paths (cache, incremental replanning, speculation)
-// are armed, as in Run.
+// production fast paths (cache, incremental replanning) are armed, as
+// in Run.
 func churnEpochs(t *testing.T, sc *Scenario, scratch bool) []core.Epoch {
 	t.Helper()
 	sys := core.NewSystem(sc.Cores, planner.Options{}, dispatch.Options{})
@@ -50,9 +50,6 @@ func churnEpochs(t *testing.T, sc *Scenario, scratch bool) []core.Epoch {
 	ctrl, err := core.NewController(sys, nullSink{}, res)
 	if err != nil {
 		t.Fatalf("%s: %v", sc, err)
-	}
-	if !scratch {
-		ctrl.SpeculateNext = 2
 	}
 	for i := 0; i < len(sc.Churn); {
 		j := i
@@ -83,11 +80,12 @@ func sortedGuarantees(gs []table.Guarantee) []table.Guarantee {
 
 // TestIncrementalScratchEquivalence is the satellite determinism pin:
 // over 200 seeded churn storms, the incremental pipeline (slice reuse,
-// dirty-core diffing, speculation) must commit epoch-for-epoch the same
-// guarantees as scratch replanning, and every incremental table must
-// pass table.Check against the scratch run's guarantees. Tables may
-// legitimately differ in layout — the pinned partition is not the WFD
-// partition — but never in what they promise or deliver.
+// dirty-core diffing, the whole-problem cache) must commit
+// epoch-for-epoch the same guarantees as scratch replanning, and every
+// incremental table must pass table.Check against the scratch run's
+// guarantees. Tables may legitimately differ in layout — the pinned
+// partition is not the WFD partition — but never in what they promise
+// or deliver.
 func TestIncrementalScratchEquivalence(t *testing.T) {
 	n := int64(200)
 	if testing.Short() {

@@ -81,10 +81,10 @@ type ChurnTransition struct {
 // max-gap oracles check strict inequalities, not tolerances.
 //
 // Controller-routed scenarios (spares or churn present) run with the
-// production planning fast paths armed — whole-problem cache,
-// incremental replanning, and speculative plan-ahead — so every churn
-// soak exercises exactly the pipeline a dense host would use. Churn-free
-// scenarios keep the direct System path bit-for-bit.
+// production planning fast paths armed — whole-problem cache and
+// incremental replanning — so every churn soak exercises exactly the
+// pipeline a dense host would use. Churn-free scenarios keep the direct
+// System path bit-for-bit.
 func Run(sc *Scenario) (*Artifacts, error) {
 	return runWith(sc, runKnobs{})
 }
@@ -105,8 +105,8 @@ type runKnobs struct {
 	shedLSFirst bool
 	// staleSlice arms the planner's UnsafeStaleSliceReuse defect.
 	staleSlice bool
-	// scratch disables the planning fast paths (cache, incremental,
-	// speculation) so every controller plan is computed from scratch.
+	// scratch disables the planning fast paths (cache, incremental) so
+	// every controller plan is computed from scratch.
 	scratch bool
 }
 
@@ -193,10 +193,8 @@ func runWith(sc *Scenario, k runKnobs) (*Artifacts, error) {
 		}
 		ctrl.UnsafeShedLSFirst = k.shedLSFirst
 		if !k.scratch {
-			// Speculation runs synchronously so runs stay deterministic;
-			// it costs wall-clock only, never sim time. The tracer records
-			// each installed epoch's plan origin for the oracles.
-			ctrl.SpeculateNext = 2
+			// The tracer records each installed epoch's plan origin for
+			// the oracles.
 			ctrl.Tracer = tr
 			ctrl.NowFn = m.Eng.Now
 		}
