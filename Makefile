@@ -25,7 +25,7 @@ test:
 # The packages where concurrency now exists (the experiments worker
 # pool, the shared planner cache, the dispatcher's lock-free switch
 # board, the retrying planner client, the control plane's replan
-# queue) or whose invariants those lean on.
+# queue, the fleet's headroom board) or whose invariants those lean on.
 race:
 	$(GO) test -race ./internal/experiments ./internal/sim ./internal/planner \
 		./internal/dispatch ./internal/faults ./internal/plannersvc ./internal/vmm \
@@ -85,12 +85,13 @@ fleet-short:
 	$(GO) test -short ./internal/verify -run 'TestCheckFleet'
 
 # Fleet failure-domain gate: host crash/recover/evacuate unit tests,
-# the failover CSV determinism check (byte-identical across -parallel
+# the headroom board's coherence across every failure path, the
+# failover CSV determinism check (byte-identical across -parallel
 # settings, zero seam-oracle violations, both resolution paths taken),
 # and the failure-seam oracle soak + BE-first mutation conviction
 # under -short.
 failover-short:
-	$(GO) test ./internal/fleet -run 'TestHostCrash|TestFailStop|TestArbiterClose|TestArmCrashes'
+	$(GO) test ./internal/fleet -run 'TestHostCrash|TestFailStop|TestArbiterClose|TestArmCrashes|TestBoardCoherence'
 	$(GO) test -short ./internal/experiments -run 'TestFailoverDeterminism' -v
 	$(GO) test -short ./internal/verify -run 'TestFailoverSoak|TestMutationSmokeEvacuateBEFirst'
 

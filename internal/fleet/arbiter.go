@@ -74,6 +74,11 @@ type Arbiter struct {
 	cfg    Config
 	hosts  []*Host
 	seqCtr atomic.Uint64
+	// board holds every host's published snapshot, one entry per host
+	// in id order; placers read it without taking any host lock.
+	board []headroom
+	// views recycles Place's per-attempt []hostView copies of the board.
+	views sync.Pool
 
 	mu       sync.Mutex
 	closed   bool
@@ -104,12 +109,14 @@ func New(cfg Config) (*Arbiter, error) {
 	a := &Arbiter{
 		cfg:      cfg,
 		hosts:    make([]*Host, cfg.Hosts),
+		board:    make([]headroom, cfg.Hosts),
+		views:    sync.Pool{New: func() any { return new([]hostView) }},
 		vmHost:   make(map[string]int),
 		orderPos: make(map[string]int),
 	}
 	err := a.forEach(cfg.Hosts, func(i int) error {
 		h, err := newHost(i, cfg.Cores, cfg.SlotsPerHost, cfg.Cache, a.nextSeq,
-			i >= cfg.Hosts-cfg.SpareHosts, cfg.Journal)
+			&a.board[i], i >= cfg.Hosts-cfg.SpareHosts, cfg.Journal)
 		if err != nil {
 			return err
 		}
@@ -232,32 +239,33 @@ func (a *Arbiter) ArmCrashes(plan faults.HostCrashPlan) (int, error) {
 	return armed, nil
 }
 
-func (a *Arbiter) snapshotAll() []Snapshot {
-	snaps := make([]Snapshot, len(a.hosts))
-	for i, h := range a.hosts {
-		snaps[i] = h.Snapshot()
-	}
-	return snaps
-}
-
 // hostView is a placer's private, virtually-decremented copy of the
-// advisory headroom.
+// advisory headroom, with the version a commit against the host names.
 type hostView struct {
+	version   uint64
 	freeSlots int
 	freePPM   int64
 	up        bool
 	spare     bool
 }
 
-func viewsOf(snaps []Snapshot) []hostView {
-	views := make([]hostView, len(snaps))
-	for i, s := range snaps {
-		views[i] = hostView{
-			freeSlots: s.FreeSlots, freePPM: s.FreePPM,
-			up: s.State == HostUp, spare: s.Spare,
-		}
+// loadViews refills dst with one view per host, read from the headroom
+// board. Views are filled field by field from the entries' raw words:
+// building a Snapshot or a composite literal per host measured several
+// times slower than the loads themselves.
+func (a *Arbiter) loadViews(dst []hostView) []hostView {
+	if cap(dst) < len(a.board) {
+		dst = make([]hostView, len(a.board))
 	}
-	return views
+	dst = dst[:len(a.board)]
+	for i := range a.board {
+		version, freePPM, packed := a.board[i].words()
+		slots, state, spare := unpack(packed)
+		v := &dst[i]
+		v.version, v.freePPM, v.freeSlots = version, freePPM, slots
+		v.up, v.spare = state == HostUp, spare
+	}
+	return dst
 }
 
 // pend is one VM still looking for a host.
@@ -336,16 +344,18 @@ func (a *Arbiter) pickHost(views []hostView, pd *pend, placer int) int {
 }
 
 // placeWork drives pends through the optimistic placement protocol
-// until each is placed, unplaced, or out of attempts. It returns the
+// until each is placed, unplaced, or out of attempts. Each round
+// freezes one read of the headroom board that every placer decides
+// from and every commit names the version of. It returns the
 // batch's counters without folding them into the cumulative stats —
 // that is the caller's job (PlaceBatch adds them directly; Failover
 // merges them with the failover accounting first). Placed pends carry
 // their host in pd.host.
 func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 	var bs Stats
+	var base []hostView
 	for len(work) > 0 {
-		snaps := a.snapshotAll()
-		base := viewsOf(snaps)
+		base = a.loadViews(base)
 
 		parts := make([][]*pend, a.cfg.Placers)
 		for _, pd := range work {
@@ -410,7 +420,7 @@ func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 				for j, pd := range b.pends {
 					batch[j] = pd.vm
 				}
-				res, err := a.hosts[h].CommitPlacements(snaps[h].Version, batch)
+				res, err := a.hosts[h].CommitPlacements(base[h].version, batch)
 				switch {
 				case errors.Is(err, ErrConflict):
 					b.conflict = true
@@ -469,7 +479,7 @@ func (a *Arbiter) placeWork(work []*pend) (Stats, error) {
 				for _, pd := range b.pends {
 					if placed[pd.vm.Name] {
 						bs.Placed++
-						if snaps[h].Spare {
+						if base[h].spare {
 							bs.SparePlacements++
 						}
 						pd.host = h
@@ -648,10 +658,10 @@ func (a *Arbiter) Failover() (Stats, error) {
 	}
 	var bs Stats
 	for {
-		var downs []*Host
-		for _, h := range a.hosts {
-			if h.State() == HostDown {
-				downs = append(downs, h)
+		var downs []Snapshot
+		for i := range a.board {
+			if s := a.board[i].load(i); s.State == HostDown {
+				downs = append(downs, s)
 			}
 		}
 		if len(downs) == 0 {
@@ -663,7 +673,8 @@ func (a *Arbiter) Failover() (Stats, error) {
 			ls, be []*pend
 		}
 		var evacs []*evacuation
-		for _, h := range downs {
+		for _, down := range downs {
+			h := a.hosts[down.Host]
 			bs.HostsDown++
 			guests := h.LiveGuests()
 			bs.Displaced += int64(len(guests))
@@ -680,12 +691,13 @@ func (a *Arbiter) Failover() (Stats, error) {
 				continue
 			}
 			// No surviving image, or the replay failed: dead. A regular
-			// host's death promotes the lowest-id healthy spare.
-			wasSpare := h.Spare()
+			// host's death promotes the lowest-id healthy spare. Whether
+			// it was a spare comes from the same board entry that showed
+			// it down: a failed recovery changes neither.
 			if err := h.markDead(); err != nil {
 				return bs, err
 			}
-			if !wasSpare {
+			if !down.Spare {
 				a.promoteSpare()
 			}
 			ev := &evacuation{host: h, seq: a.nextSeq()}
@@ -753,40 +765,44 @@ func (a *Arbiter) Failover() (Stats, error) {
 }
 
 // promoteSpare moves the lowest-id healthy spare into the regular
-// pool, replacing a dead regular host.
+// pool, replacing a dead regular host. Spare and state come from one
+// board entry, so both describe the same moment.
 func (a *Arbiter) promoteSpare() {
-	for _, h := range a.hosts {
-		if h.Spare() && h.State() == HostUp {
-			h.promote()
+	for i := range a.board {
+		if s := a.board[i].load(i); s.Spare && s.State == HostUp {
+			a.hosts[i].promote()
 			return
 		}
 	}
 }
 
-// Place runs one VM through the live optimistic protocol: snapshot,
-// pick, commit, and on conflict or reject refresh and retry, up to
-// MaxAttempts. Unlike PlaceBatch this races genuinely against other
-// goroutines — it is the arbiter's concurrent API (and what the -race
-// stress tests hammer). Returns the placed host.
+// Place runs one VM through the live optimistic protocol: copy the
+// headroom board, pick, commit, and on conflict or reject refresh and
+// retry, up to MaxAttempts. Unlike PlaceBatch this races genuinely
+// against other goroutines — it is the arbiter's concurrent API (and
+// what the -race stress tests hammer). Returns the placed host.
 func (a *Arbiter) Place(vm VM) (int, error) {
 	if a.isClosed() {
 		return -1, ErrClosed
 	}
 	pd := newPend(vm)
 	p := partition(vm.Name, a.cfg.Placers)
+	views := a.views.Get().(*[]hostView)
 	var bs Stats
 	defer func() {
+		a.views.Put(views)
 		a.mu.Lock()
 		a.stats.add(bs)
 		a.mu.Unlock()
 	}()
 	for pd.attempts < a.cfg.MaxAttempts {
-		snaps := a.snapshotAll()
-		h := a.pickHost(viewsOf(snaps), pd, p)
+		*views = a.loadViews(*views)
+		h := a.pickHost(*views, pd, p)
 		if h < 0 {
 			break
 		}
-		res, err := a.hosts[h].CommitPlacements(snaps[h].Version, []VM{vm})
+		target := (*views)[h]
+		res, err := a.hosts[h].CommitPlacements(target.version, []VM{vm})
 		if errors.Is(err, ErrConflict) || errors.Is(err, ErrHostDown) {
 			bs.Conflicts++
 			if errors.Is(err, ErrHostDown) {
@@ -803,7 +819,7 @@ func (a *Arbiter) Place(vm VM) (int, error) {
 		}
 		if len(res.Placed) == 1 {
 			bs.Placed++
-			if snaps[h].Spare {
+			if target.spare {
 				bs.SparePlacements++
 			}
 			a.mu.Lock()

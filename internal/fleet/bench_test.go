@@ -3,6 +3,7 @@ package fleet
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"tableau/internal/faults"
@@ -76,6 +77,89 @@ func BenchmarkFleetPlace(b *testing.B) {
 	st := a.Stats()
 	conflicts += st.Conflicts + st.Retries
 	b.ReportMetric(float64(conflicts)/float64(b.N), "conflict-retries/op")
+}
+
+// liveMenuVM draws a guest from the fleet-live menu: an eighth, a
+// quarter, a half or three quarters of a core (mean 0.44), a quarter of
+// them best-effort.
+func liveMenuVM(rng *rand.Rand, name string) VM {
+	vm := VM{Name: name, LatencyGoal: 20_000_000}
+	switch d := rng.Intn(100); {
+	case d < 5:
+		vm.Util = planner.Util{Num: 1, Den: 8}
+	case d < 40:
+		vm.Util = planner.Util{Num: 1, Den: 4}
+	case d < 80:
+		vm.Util = planner.Util{Num: 1, Den: 2}
+	default:
+		vm.Util = planner.Util{Num: 3, Den: 4}
+	}
+	if rng.Intn(100) < 25 {
+		vm.Class = planner.BE
+	}
+	return vm
+}
+
+// BenchmarkFleetPlaceWide is BenchmarkFleetPlace at fleet scale: 1000
+// 8-core hosts (40 of them spares) filled with 10,000 fleet-live menu
+// VMs to about 56% reserved; each iteration departs a random resident
+// and places a fresh menu VM. Every Place attempt reads all 1000
+// hosts' headroom, a cost the 32-host benchmark hides. The fleet is
+// rebuilt outside the timer every few thousand iterations so ledger
+// growth does not drift B/op with b.N.
+func BenchmarkFleetPlaceWide(b *testing.B) {
+	cache := planner.NewCache(8192)
+	rng := rand.New(rand.NewSource(1))
+	var (
+		a    *Arbiter
+		live []string
+	)
+	rebuild := func(gen int) {
+		if a != nil {
+			_ = a.Close()
+		}
+		var err error
+		a, err = New(Config{
+			Hosts: 1000, Cores: 8, SlotsPerHost: 20, Placers: 8, SpareHosts: 40,
+			MaxAttempts: 6, Cache: cache,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		fill := make([]VM, 10_000)
+		for j := range fill {
+			fill[j] = liveMenuVM(rng, fmt.Sprintf("w%d-%d", gen, j))
+		}
+		if bs, err := a.PlaceBatch(fill); err != nil || bs.Placed != int64(len(fill)) {
+			b.Fatalf("fill: %+v %v", bs, err)
+		}
+		live = a.PlacedNames()
+	}
+	rebuild(0)
+	defer func() { _ = a.Close() }()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i > 0 && i%4096 == 0 {
+			b.StopTimer()
+			rebuild(i)
+			b.StartTimer()
+		}
+		j := rng.Intn(len(live))
+		if err := a.Depart(live[j]); err != nil {
+			b.Fatal(err)
+		}
+		vm := liveMenuVM(rng, fmt.Sprintf("b%d", i))
+		switch _, err := a.Place(vm); {
+		case err == nil:
+			live[j] = vm.Name
+		case errors.Is(err, ErrUnplaced):
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		default:
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkFailover measures the cost of a steady fleet absorbing one

@@ -13,6 +13,13 @@
 // moved, loses with ErrConflict, refreshes its snapshot, and retries
 // (bounded by Config.MaxAttempts, with conflict counters).
 //
+// Snapshots are published, not locked for: each host writes its
+// snapshot onto the arbiter's headroom board (one contiguous entry per
+// host) while it still holds its lock, at the end of every critical
+// section that changes it, and readers load entries through a seqlock
+// without taking any host lock. A reader sees the host as of its last
+// unlock, which is what a locked read would have returned.
+//
 // Snapshot headroom is advisory; the host's admission check (the
 // planner's exact utilization test inside Controller.Flush) is the
 // authoritative gate. A placement the snapshot thought would fit can
@@ -138,9 +145,10 @@ type Stats struct {
 	// Placed counts successful placements; Departed counts completed
 	// departures.
 	Placed, Departed int64
-	// Conflicts counts commits lost to a stale snapshot version;
-	// Retries counts VMs re-queued for another attempt (after a
-	// conflict or a reject).
+	// Conflicts counts commits lost to a stale snapshot version, and
+	// placement commits that hit a host that had gone down; Retries
+	// counts VMs re-queued for another attempt (after a conflict or a
+	// reject).
 	Conflicts, Retries int64
 	// AdmissionRejects counts placements the target host's admission
 	// check refused; SlotRejects counts placements refused for slot

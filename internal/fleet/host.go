@@ -34,6 +34,10 @@ func (nullSink) PushTable(*table.Table) error { return nil }
 // core.Controller serializing its replans, and the occupancy metadata
 // the arbiter's optimistic protocol needs — a committed version, free
 // slots, reserved utilization, and a ledger of committed transitions.
+// The version, headroom, state and spare flag are also published on the
+// arbiter's headroom board at the end of every critical section that
+// changes them; Snapshot, State and Spare read the board, not the
+// locked fields.
 //
 // Slot ids are fixed at host construction (vCPU ids are fixed at
 // machine start); fleet-level VM identity lives in the name<->slot
@@ -51,6 +55,7 @@ type Host struct {
 	cores int
 	seq   func() uint64
 	cache *planner.Cache
+	board *headroom // this host's entry on the arbiter's headroom board
 
 	mu        sync.Mutex
 	sys       *core.System
@@ -67,7 +72,7 @@ type Host struct {
 	vmSlot    map[string]int
 }
 
-func newHost(id, cores, slots int, cache *planner.Cache, seq func() uint64, spare, journaled bool) (*Host, error) {
+func newHost(id, cores, slots int, cache *planner.Cache, seq func() uint64, board *headroom, spare, journaled bool) (*Host, error) {
 	if slots < 2 {
 		return nil, fmt.Errorf("fleet: host %d needs at least 2 slots (1 resident + 1 guest), got %d", id, slots)
 	}
@@ -101,6 +106,7 @@ func newHost(id, cores, slots int, cache *planner.Cache, seq func() uint64, spar
 		cores:     cores,
 		seq:       seq,
 		cache:     cache,
+		board:     board,
 		sys:       sys,
 		ctrl:      ctrl,
 		spare:     spare,
@@ -123,25 +129,22 @@ func newHost(id, cores, slots int, cache *planner.Cache, seq func() uint64, spar
 	for s := slots - 1; s >= 1; s-- {
 		h.free = append(h.free, s)
 	}
+	h.mu.Lock()
+	h.publishLocked()
+	h.mu.Unlock()
 	return h, nil
 }
 
 // ID returns the host's fleet-wide id.
 func (h *Host) ID() int { return h.id }
 
-// State returns the host's failure-lifecycle state.
-func (h *Host) State() HostState {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.state
-}
+// State returns the host's failure-lifecycle state, read from the
+// headroom board like Snapshot.
+func (h *Host) State() HostState { return h.Snapshot().State }
 
-// Spare reports whether the host is in the spare pool.
-func (h *Host) Spare() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.spare
-}
+// Spare reports whether the host is in the spare pool, read from the
+// headroom board like Snapshot.
+func (h *Host) Spare() bool { return h.Snapshot().Spare }
 
 // promote moves a spare host into the regular pool (a dead regular
 // host's replacement).
@@ -149,6 +152,7 @@ func (h *Host) promote() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.spare = false
+	h.publishLocked()
 }
 
 // Arm installs a crash plan on the host's journal store. The crash
@@ -165,18 +169,24 @@ func (h *Host) Arm(plan faults.CrashPlan) error {
 	return h.journal.Arm(plan)
 }
 
-// Snapshot returns the host's committed version and advisory headroom.
-func (h *Host) Snapshot() Snapshot {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return Snapshot{
-		Host:      h.id,
+// Snapshot returns the host's committed version and advisory headroom
+// as of its last unlock. It reads the headroom board and never takes
+// the host lock, so it does not wait behind a commit in flight.
+func (h *Host) Snapshot() Snapshot { return h.board.load(h.id) }
+
+// publishLocked posts the host's version and headroom to its board
+// entry. Every critical section that changes the version, slots,
+// utilization, state or spare flag ends with it, so readers see the
+// state as of the last unlock, never an intermediate one such as
+// HostRecovering.
+func (h *Host) publishLocked() {
+	h.board.store(Snapshot{
 		Version:   h.version,
 		FreeSlots: len(h.free),
 		FreePPM:   int64(h.cores)*1_000_000 - h.usedPPM,
 		State:     h.state,
 		Spare:     h.spare,
-	}
+	})
 }
 
 // LiveGuests returns the host's guest VMs in ascending slot order (the
@@ -256,6 +266,7 @@ func (h *Host) CommitPlacements(expect uint64, vms []VM) (CommitResult, error) {
 	if h.version != expect {
 		return CommitResult{Version: h.version}, ErrConflict
 	}
+	defer h.publishLocked() // runs before the deferred Unlock
 	res := CommitResult{Version: h.version}
 	var ops []core.Op
 	var taken []int // slots handed out, in vm order
@@ -377,6 +388,7 @@ func (h *Host) CommitDepartures(expect uint64, names []string) (CommitResult, er
 	if h.version != expect {
 		return CommitResult{Version: h.version}, ErrConflict
 	}
+	defer h.publishLocked() // runs before the deferred Unlock
 	res := CommitResult{Version: h.version}
 	ops := make([]core.Op, 0, len(names))
 	for _, name := range names {
@@ -451,6 +463,7 @@ func (h *Host) Recover() ([]string, error) {
 	if h.downImage == nil {
 		return nil, fmt.Errorf("fleet: host %d has no surviving journal image", h.id)
 	}
+	defer h.publishLocked() // runs before the deferred Unlock
 	h.state = HostRecovering
 	freed, err := h.recoverLocked()
 	if err != nil {
@@ -560,6 +573,7 @@ func (h *Host) markDead() error {
 	}
 	h.state = HostDead
 	h.downImage = nil
+	h.publishLocked()
 	return nil
 }
 

@@ -13,7 +13,8 @@ import (
 // protocol from many goroutines under -race: concurrent placers race
 // commits onto the same hosts (losers must conflict and retry, never
 // corrupt), departures race placements, and when the dust settles the
-// registry, the hosts' occupancy, and the counters must agree.
+// registry, the hosts' occupancy, the counters and the headroom board
+// must agree.
 func TestArbiterConcurrentPlaceDepart(t *testing.T) {
 	a := testArbiter(t, Config{
 		Hosts: 8, Cores: 4, SlotsPerHost: 16, Placers: 4,
@@ -67,4 +68,5 @@ func TestArbiterConcurrentPlaceDepart(t *testing.T) {
 			t.Fatalf("registry maps %q to host %d but snapshot says %d", name, h, snap.Host)
 		}
 	}
+	checkBoard(t, a, "concurrent Place/Depart")
 }
