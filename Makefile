@@ -7,8 +7,13 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# vet also fails when any Go file is not gofmt-formatted.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
 
 # staticcheck is optional tooling: run it when the host has it, stay
 # green when it does not (CI images do not install it).
@@ -51,7 +56,11 @@ verify-short:
 
 # Mutation smoke: seeded scheduler/trace defects (starvation, delayed
 # dispatch, phantom records, tampered dumps) must each be flagged by
-# the oracle class that claims to catch them.
+# the oracle class that claims to catch them, and the four control-
+# plane convictions (stale slice reuse, LS-first shed, double
+# placement, BE-first evacuation) must each report their specific
+# finding while a clean twin stays clean. Every defect is seeded from
+# the test side, through seams the production packages already have.
 mutation-smoke:
 	$(GO) test ./internal/verify -run 'TestMutationSmoke|TestShrinkFindsSmallerRepro' -v
 
@@ -78,11 +87,12 @@ recover-short:
 # Fleet placement gate: the arbiter's unit + protocol tests, the
 # fleet CSV determinism check (byte-identical across -parallel
 # settings, zero oracle violations, nonzero conflict-retry counts),
-# and the cross-host continuity oracle soak under -short.
+# and the cross-host continuity oracle soak + double-placement
+# conviction under -short.
 fleet-short:
 	$(GO) test ./internal/fleet
 	$(GO) test -short ./internal/experiments -run 'TestFleetDeterminism' -v
-	$(GO) test -short ./internal/verify -run 'TestCheckFleet'
+	$(GO) test -short ./internal/verify -run 'TestCheckFleet|TestMutationSmokeDoublePlace'
 
 # Fleet failure-domain gate: host crash/recover/evacuate unit tests,
 # the headroom board's coherence across every failure path, the
@@ -102,7 +112,7 @@ failover-short:
 # shed-order mutation conviction) must hold under -short.
 tenancy-short:
 	$(GO) test ./internal/experiments -run 'TestTenancyDeterminism' -v
-	$(GO) test -short ./internal/verify -run 'TestTenancyContinuity'
+	$(GO) test -short ./internal/verify -run 'TestTenancyContinuity|TestMutationSmokeShedLSFirst'
 	$(GO) test ./internal/workload -run 'TestSLOServer|TestScheduleBursts'
 
 # Full micro-benchmark pass over the hot-path packages.

@@ -1,4 +1,4 @@
-// Package adaptive implements the reconfiguration loop the paper points
+// This file implements the reconfiguration loop the paper points
 // to in its related-work discussion (Sec. 8): "Similar adaptive
 // techniques can be used with Tableau to periodically optimize
 // scheduling tables." Because Tableau splits planning from dispatching,
@@ -11,7 +11,8 @@
 // by a multiplicative step, a VM that leaves most of it idle shrinks,
 // and every proposal is admission-checked (with growth scaled back
 // proportionally when the host lacks headroom) before the planner runs.
-package adaptive
+
+package main
 
 import (
 	"fmt"

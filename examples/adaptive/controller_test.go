@@ -1,4 +1,4 @@
-package adaptive
+package main
 
 import (
 	"fmt"

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 
-	"tableau/internal/adaptive"
 	"tableau/internal/core"
 	"tableau/internal/dispatch"
 	"tableau/internal/planner"
@@ -52,7 +51,7 @@ func main() {
 		return vmm.BlockIndefinitely()
 	}), 256, true)
 
-	ctl := adaptive.New(sys, d, m, adaptive.Config{Interval: 500_000_000})
+	ctl := New(sys, d, m, Config{Interval: 500_000_000})
 	m.Start()
 	ctl.Start()
 

@@ -179,14 +179,6 @@ type Controller struct {
 	// before the first Flush.
 	PlanVia PlanFunc
 
-	// UnsafeShedLSFirst is a mutation-smoke defect switch: it inverts
-	// the class-aware shed order, so an overloaded admission sheds
-	// latency-sensitive guests while best-effort guests keep running.
-	// The class-continuity oracle must convict the inverted order (an
-	// LS guest shed while BE guests remain active). Never set outside
-	// tests.
-	UnsafeShedLSFirst bool
-
 	// MaxHistory bounds the retained epoch history. Every committed
 	// epoch holds a full table plus its wire encoding, so an unbounded
 	// history grows the live heap linearly with churn on a long-lived
@@ -244,16 +236,13 @@ func epochOf(tbl *table.Table, gs []table.Guarantee) (Epoch, error) {
 	}, nil
 }
 
-// epochOfLocked is epochOf with cross-epoch encode reuse: when the
-// system runs incrementally, cores whose schedules are unchanged from
-// the current epoch have their wire segments copied instead of
-// re-encoded (verified by content comparison, so the bytes are exactly
-// what a full encode would produce). Scratch-mode systems keep the
-// plain full encode as the no-reuse baseline.
+// epochOfLocked is epochOf with cross-epoch encode reuse: cores whose
+// schedules are unchanged from the current epoch have their wire
+// segments copied instead of re-encoded (verified by content
+// comparison, so the bytes are exactly what a full encode would
+// produce). A controller created without an initial epoch encodes its
+// first one in full.
 func (c *Controller) epochOfLocked(tbl *table.Table, gs []table.Guarantee) (Epoch, error) {
-	if !c.sys.Incremental || c.epoch.Table == nil {
-		return epochOf(tbl, gs)
-	}
 	enc, err := tbl.AppendEncodedReusingCompact(nil, c.epoch.Table, c.epoch.Bytes)
 	if err != nil {
 		return Epoch{}, fmt.Errorf("core: encoding epoch %d: %w", tbl.Generation, err)
@@ -671,10 +660,6 @@ func (c *Controller) admitLSLocked() error {
 // displace BE slack but never another LS guarantee. BE subjects never
 // shed anyone. Returns nil — with every victim restored — when
 // shedding cannot save the admission.
-//
-// UnsafeShedLSFirst inverts the victim class: LS guests are shed while
-// BE guests keep running, the defect the class-continuity oracle must
-// convict.
 func (c *Controller) shedForLocked(keep int) []Op {
 	s := c.sys
 	if keep < 0 || keep >= len(s.slots) || s.slots[keep].cfg.Class != LS {
@@ -683,13 +668,9 @@ func (c *Controller) shedForLocked(keep int) []Op {
 	if c.admitLSLocked() != nil {
 		return nil
 	}
-	victim := BE
-	if c.UnsafeShedLSFirst {
-		victim = LS
-	}
 	var shed []Op
 	for id := len(s.slots) - 1; id >= 0; id-- {
-		if id == keep || !s.slots[id].active || s.slots[id].cfg.Class != victim {
+		if id == keep || !s.slots[id].active || s.slots[id].cfg.Class != BE {
 			continue
 		}
 		s.slots[id].active = false
@@ -707,17 +688,13 @@ func (c *Controller) shedForLocked(keep int) []Op {
 // lastSheddableLocked returns the index of the utilization-adding op
 // the plan-failure retry loop should shed next: the most recent one
 // with a best-effort subject, falling back to the most recent one of
-// any class. UnsafeShedLSFirst inverts the class preference.
+// any class.
 //
 // An OpActivate qualifies only if its slot was inactive at the batch
 // snapshot: shedding an activation deactivates the slot, and a
 // redundant activation of an already-admitted guest (bursts can carry
 // them) must not turn into a teardown the epoch never committed.
 func (c *Controller) lastSheddableLocked(snap []slot, ops []Op) int {
-	prefer := BE
-	if c.UnsafeShedLSFirst {
-		prefer = LS
-	}
 	sheddable := func(op Op) bool {
 		if op.Slot < 0 || op.Slot >= len(c.sys.slots) {
 			return false
@@ -738,7 +715,7 @@ func (c *Controller) lastSheddableLocked(snap []slot, ops []Op) int {
 		if fallback < 0 {
 			fallback = i
 		}
-		if c.sys.slots[ops[i].Slot].cfg.Class == prefer {
+		if c.sys.slots[ops[i].Slot].cfg.Class == BE {
 			return i
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tableau/internal/dispatch"
@@ -447,6 +448,52 @@ func TestMaxHistoryBounds(t *testing.T) {
 	}
 	if ctrl.Epoch().Version != full.Epoch().Version {
 		t.Fatalf("current epoch diverged: %d vs %d", ctrl.Epoch().Version, full.Epoch().Version)
+	}
+}
+
+// TestEpochBytesMatchFullEncode pins the cross-epoch segment reuse on
+// a controller whose system plans from scratch: over a churn sequence
+// (arrivals, departures, a reconfiguration, a core failure) every
+// epoch's Bytes must equal a full compact encode of its table, and the
+// sequence must include epochs with unchanged cores, so reuse runs.
+func TestEpochBytesMatchFullEncode(t *testing.T) {
+	s, _, ctrl, ids, _ := churnRig(t, 4, 8, 8)
+	if s.Incremental {
+		t.Fatal("churnRig system plans incrementally; this test needs scratch plans")
+	}
+	bursts := [][]Op{
+		{{Kind: OpActivate, Slot: ids[8]}, {Kind: OpActivate, Slot: ids[9]}},
+		{{Kind: OpDeactivate, Slot: ids[3]}},
+		{{Kind: OpActivate, Slot: ids[10]}, {Kind: OpDeactivate, Slot: ids[1]}},
+		{{Kind: OpReconfigure, Slot: ids[5], Util: Util{Num: 1, Den: 4}, LatencyGoal: 10_000_000}},
+		{{Kind: OpDeactivate, Slot: ids[9]}},
+		{{Kind: OpFailCore, Core: 3}},
+		{{Kind: OpActivate, Slot: ids[11]}, {Kind: OpActivate, Slot: ids[3]}},
+		{{Kind: OpDeactivate, Slot: ids[11]}},
+	}
+	unchanged := 0
+	for i, ops := range bursts {
+		prev := ctrl.Epoch()
+		ctrl.SubmitBatch(ops)
+		if tr, err := ctrl.Flush(); err != nil || tr.Version == 0 {
+			t.Fatalf("burst %d: flush: %v (%+v)", i, err, tr)
+		}
+		ep := ctrl.Epoch()
+		full, err := ep.Table.AppendEncodedCompact(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ep.Bytes, full) {
+			t.Fatalf("burst %d: epoch %d bytes differ from a full compact encode", i, ep.Version)
+		}
+		for c := range ep.Table.Cores {
+			if len(ep.Table.Cores[c].Allocs) > 0 && slices.Equal(ep.Table.Cores[c].Allocs, prev.Table.Cores[c].Allocs) {
+				unchanged++
+			}
+		}
+	}
+	if unchanged == 0 {
+		t.Fatal("no epoch kept a core unchanged: segment reuse never ran")
 	}
 }
 

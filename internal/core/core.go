@@ -122,10 +122,6 @@ type System struct {
 	// but pass the identical guarantee checks. Set before first use.
 	Incremental bool
 
-	// UnsafeStaleSliceReuse arms the planner's mutation-smoke defect of
-	// the same name on every local plan. Never set outside tests.
-	UnsafeStaleSliceReuse bool
-
 	// prev is the last successful plan in the planner universe (guarded
 	// by mu), the PlanIncremental input. Only maintained when
 	// Incremental is set.
@@ -461,9 +457,6 @@ func (s *System) planOptsLocked(specs []planner.VCPUSpec) (planner.Options, erro
 	}
 	if s.Cache != nil {
 		opts.Slices = s.Cache.SliceCache()
-	}
-	if s.UnsafeStaleSliceReuse {
-		opts.UnsafeStaleSliceReuse = true
 	}
 	return opts, nil
 }

@@ -210,9 +210,9 @@ func (s *Stats) add(o Stats) {
 // and "evacuate" is a dead host's displacement record. Seam entries
 // participate in the same Seq total order.
 type Commit struct {
-	Seq     uint64
-	Version uint64 // installed epoch (0: every op was rejected)
-	Placed  []string
+	Seq      uint64
+	Version  uint64 // installed epoch (0: every op was rejected)
+	Placed   []string
 	Departed []string
 	// Shed names the best-effort VMs this commit deactivated to admit
 	// an LS placement — departures the host initiated, matched by

@@ -48,9 +48,6 @@ type pinning struct {
 	pinnedSpec map[int]bool
 	// cores counts non-empty coreTasks entries (Result.PinnedCores).
 	cores int
-	// override substitutes stale effective specs, keyed by current spec
-	// index — only ever populated by the UnsafeStaleSliceReuse defect.
-	override map[int]VCPUSpec
 	// prevTable is the previous plan's finished table (planner
 	// universe, read-only). Pinned cores adopt their previous final
 	// schedule from it verbatim (allocations renumbered, slice index
@@ -137,7 +134,6 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 		cur[s.Name] = i
 	}
 	clean := make(map[int]int) // prev spec index -> cur spec index
-	var override map[int]VCPUSpec
 	for j, p := range prev.Specs {
 		i, ok := cur[p.Name]
 		if !ok || p.Util.IsFull() {
@@ -146,17 +142,6 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 		c := specs[i]
 		if c.Util == p.Util && c.LatencyGoal == p.LatencyGoal && c.Capped == p.Capped {
 			clean[j] = i
-			continue
-		}
-		if opts.UnsafeStaleSliceReuse && !c.Util.IsFull() {
-			// Defect: the reconfiguration is ignored — the VM keeps its
-			// stale placement AND its stale spec, so the under-serving
-			// table still passes the planner's own final Check.
-			clean[j] = i
-			if override == nil {
-				override = make(map[int]VCPUSpec)
-			}
-			override[i] = p
 		}
 	}
 	if len(clean) == 0 {
@@ -202,7 +187,6 @@ func pinFromPrev(specs []VCPUSpec, opts Options, prev *PrevPlan) *pinning {
 	pin := &pinning{
 		coreTasks:  make([]periodic.TaskSet, co.Cores),
 		pinnedSpec: make(map[int]bool),
-		override:   override,
 		prevTable:  prev.Res.Table,
 		renumber:   clean,
 	}

@@ -143,14 +143,6 @@ func Plan(specs []VCPUSpec, opts Options) (*Result, error) {
 // pinning being fresh: the full guarantee check still gates the result.
 func planWith(specs []VCPUSpec, opts Options, pin *pinning) (*Result, error) {
 	opts = opts.withDefaults()
-	if pin != nil && len(pin.override) > 0 {
-		// The UnsafeStaleSliceReuse defect: plan against the stale specs
-		// so the internally consistent (but wrong) table passes Check.
-		specs = append([]VCPUSpec(nil), specs...)
-		for i, stale := range pin.override {
-			specs[i] = stale
-		}
-	}
 	if err := Admit(specs, opts.Cores); err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"strings"
 	"testing"
 
 	"tableau/internal/planner"
@@ -80,18 +81,24 @@ func TestChurnContinuity(t *testing.T) {
 }
 
 // TestMutationSmokeShedLSFirst proves the class-aware continuity
-// oracle earns its keep: a controller defect that inverts the shed
-// order — taking a latency-sensitive guarantee while a best-effort
-// guest still holds the slack — must be caught as a shed-order
-// violation, while the correct controller sheds the BE guest and stays
-// clean. The inverted shed is committed and journaled, so retention
-// alone cannot object; only the class check convicts it.
+// oracle earns its keep: a controller that inverts the shed order —
+// taking a latency-sensitive guarantee while a best-effort guest still
+// holds the slack — must be caught as a shed-order violation, while
+// the correct controller sheds the BE guest and stays clean. The
+// inverted shed is committed and journaled, so retention alone cannot
+// object; only the class check convicts it.
 //
-// The host is one core: vm0 is LS at 1/2, vm1 is BE at 1/4, and the
-// arriving LS spare wants another 1/2 (total 1.25 cores). The LS
-// subpopulation alone fits exactly (1/2 + 1/2), so admission is
+// The host is one core: vm0 is LS at 1/2, vm1 is BE at 1/4, and a
+// spare wants another 1/2 (total 1.25 cores). When the spare is LS,
+// the LS subpopulation alone fits exactly (1/2 + 1/2), so admission is
 // entitled to displace BE slack: the correct controller sheds vm1 and
-// admits the spare; the defective one sheds vm0 while vm1 remains.
+// admits the spare.
+//
+// The defect is seeded by registering every class inverted in the
+// controller's System while the oracle keeps the scenario's labels.
+// Against a BE spare the inverted controller sees an "LS" arrival over
+// "BE" vm0, sheds vm0 and keeps vm1 — an LS shed with BE active. The
+// correct controller refuses that BE arrival outright.
 func TestMutationSmokeShedLSFirst(t *testing.T) {
 	sc := &Scenario{
 		Seed:  7,
@@ -106,7 +113,7 @@ func TestMutationSmokeShedLSFirst(t *testing.T) {
 		Churn: []ChurnOp{{At: 50_000_000, Slot: 2, Activate: true}},
 	}
 
-	clean, err := run(sc, nil, false)
+	clean, err := Run(sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,24 +140,39 @@ func TestMutationSmokeShedLSFirst(t *testing.T) {
 		t.Fatalf("correct controller committed %d sheds, want 1 (%+v)", shed, tr.Committed)
 	}
 
-	evil, err := run(sc, nil, true)
+	beArrival := *sc
+	beArrival.Spares = []VMSpec{sc.Spares[0]}
+	beArrival.Spares[0].Class = planner.BE
+
+	twin, err := Run(&beArrival)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if vs := CheckAll(twin); len(vs) != 0 {
+		t.Fatalf("correct controller flagged on the BE arrival: %v", vs)
+	}
+	if n := len(twin.Controller.History()); n != 1 {
+		t.Fatalf("correct controller installed %d epochs for a BE arrival it must refuse, want 1", n)
+	}
+
+	evil, err := runWith(&beArrival, runKnobs{invertClasses: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The defect must have actually fired: the arrival was admitted by
 	// shedding the LS guest, producing a second epoch.
 	if len(evil.Controller.History()) < 2 {
-		t.Fatalf("shed defect did not install a new epoch (history %d)", len(evil.Controller.History()))
+		t.Fatalf("inverted controller did not install a new epoch (history %d)", len(evil.Controller.History()))
 	}
+	want := "sheds LS slot 0 while BE slot 1 is still active"
 	found := false
 	for _, v := range CheckAll(evil) {
-		if v.Class == ClassContinuity {
+		if v.Class == ClassContinuity && v.VCPU == 0 && strings.Contains(v.Detail, want) {
 			found = true
-			break
 		}
 	}
 	if !found {
-		t.Fatal("continuity oracle missed the inverted shed order")
+		t.Fatalf("continuity oracle missed the inverted shed order (%q); got %v", want, CheckAll(evil))
 	}
 }
 

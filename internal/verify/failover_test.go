@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tableau/internal/faults"
@@ -13,7 +14,7 @@ import (
 // runFailoverStorm drives seeded crash storms through a journaled
 // fleet mid-churn and returns the arbiter plus the accumulated
 // failover stats. failStopPct steers the recover-vs-evacuate mix.
-func runFailoverStorm(t *testing.T, seed int64, failStopPct int, beFirst bool) (*fleet.Arbiter, fleet.Stats) {
+func runFailoverStorm(t *testing.T, seed int64, failStopPct int) (*fleet.Arbiter, fleet.Stats) {
 	t.Helper()
 	const hosts = 12
 	a, err := fleet.New(fleet.Config{
@@ -25,7 +26,6 @@ func runFailoverStorm(t *testing.T, seed int64, failStopPct int, beFirst bool) (
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = a.Close() })
-	a.UnsafeEvacuateBEFirst = beFirst
 
 	rng := rand.New(rand.NewSource(seed))
 	// Dense menu (up to 3/4-core) and a near-capacity fill: evacuation
@@ -107,7 +107,7 @@ func TestFailoverSoak(t *testing.T) {
 		// Sweep the fail-stop share so every mix band recurs: pure
 		// recovery, mixed, and pure evacuation storms.
 		failStopPct := []int{0, 35, 65, 100}[seed%4]
-		a, st := runFailoverStorm(t, int64(seed), failStopPct, false)
+		a, st := runFailoverStorm(t, int64(seed), failStopPct)
 		if vs := CheckFleet(a); len(vs) != 0 {
 			for _, v := range vs {
 				t.Errorf("seed %d: %s", seed, v)
@@ -129,19 +129,53 @@ func TestFailoverSoak(t *testing.T) {
 	}
 }
 
-// TestMutationSmokeEvacuateBEFirst arms the UnsafeEvacuateBEFirst
-// defect (evacuation re-places the best-effort wave first) and demands
-// the cross-seam oracle convict it on some seed.
+// swapEvacClasses returns a copy of recs in which the evacuate seam
+// recs[h].ledger[i] lists its LS evacuees as BE and its BE evacuees as
+// LS. Replayed against the real LS-first re-placements, that is the
+// ledger of a failover that evacuated the best-effort wave first.
+func swapEvacClasses(recs []hostRecord, h, i int) []hostRecord {
+	out := append([]hostRecord(nil), recs...)
+	out[h].ledger = append([]fleet.Commit(nil), recs[h].ledger...)
+	c := &out[h].ledger[i]
+	c.EvacLS, c.EvacBE = c.EvacBE, c.EvacLS
+	return out
+}
+
+// TestMutationSmokeEvacuateBEFirst seeds the BE-first evacuation
+// defect into real fail-stop storms by swapping one evacuate seam's
+// class lists, and demands the cross-seam oracle convict exactly that
+// seam's wave order, while the unswapped ledgers stay clean.
 func TestMutationSmokeEvacuateBEFirst(t *testing.T) {
 	caught := false
 	for seed := int64(0); seed < 12 && !caught; seed++ {
 		// Pure fail-stop storms: every down host evacuates, maximizing
 		// seams with both classes displaced.
-		a, _ := runFailoverStorm(t, seed, 100, true)
-		caught = len(CheckFleet(a)) > 0
+		a, _ := runFailoverStorm(t, seed, 100)
+		recs, registry := hostRecords(a), a.Assignments()
+		if vs := checkFleet(recs, registry); len(vs) != 0 {
+			t.Fatalf("seed %d: clean twin flagged: %v", seed, vs)
+		}
+		for h := range recs {
+			for i, c := range recs[h].ledger {
+				if c.Event != "evacuate" || len(c.EvacLS) == 0 || len(c.EvacBE) == 0 {
+					continue
+				}
+				vs := checkFleet(swapEvacClasses(recs, h, i), registry)
+				if len(vs) == 0 {
+					continue // one wave had nothing re-placed: no order to invert
+				}
+				want := fmt.Sprintf("host %d evacuation re-placed a best-effort evacuee", recs[h].id)
+				for _, v := range vs {
+					if !strings.HasPrefix(v.Detail, want) {
+						t.Fatalf("seed %d: swapped seam raised %q, want only %q", seed, v.Detail, want)
+					}
+				}
+				caught = true
+			}
+		}
 	}
 	if !caught {
-		t.Fatal("UnsafeEvacuateBEFirst escaped the failure-seam oracle on every seed")
+		t.Fatal("BE-first evacuation escaped the failure-seam oracle on every seed")
 	}
 }
 

@@ -44,6 +44,30 @@ const ClassFleet = "fleet"
 // map must equal the arbiter's registry in both directions, and every
 // evacuee must be re-placed, shed, or explicitly lost.
 func CheckFleet(a *fleet.Arbiter) []Violation {
+	return checkFleet(hostRecords(a), a.Assignments())
+}
+
+// hostRecord is what the fleet oracle reads of one host: its commit
+// ledger and its controller's epoch history.
+type hostRecord struct {
+	id     int
+	ledger []fleet.Commit
+	hist   []core.Epoch
+}
+
+// hostRecords copies every host's ledger and history out of a.
+func hostRecords(a *fleet.Arbiter) []hostRecord {
+	hosts := a.Hosts()
+	recs := make([]hostRecord, len(hosts))
+	for i, h := range hosts {
+		recs[i] = hostRecord{id: h.ID(), ledger: h.Ledger(), hist: h.History()}
+	}
+	return recs
+}
+
+// checkFleet is CheckFleet over copied host records and the registry
+// (VM name to host id).
+func checkFleet(hosts []hostRecord, registry map[string]int) []Violation {
 	var out []Violation
 	v := func(format string, args ...any) {
 		out = append(out, Violation{Class: ClassFleet, VCPU: -1, Detail: fmt.Sprintf(format, args...)})
@@ -55,15 +79,14 @@ func CheckFleet(a *fleet.Arbiter) []Violation {
 	}
 	var all []seqCommit
 	seqOwner := make(map[uint64]int)
-	for _, h := range a.Hosts() {
-		ledger := h.Ledger()
-		checkHostContinuity(h.ID(), ledger, h.History(), v)
-		for _, c := range ledger {
+	for _, h := range hosts {
+		checkHostContinuity(h.id, h.ledger, h.hist, v)
+		for _, c := range h.ledger {
 			if prev, dup := seqOwner[c.Seq]; dup {
-				v("commit seq %d issued to both host %d and host %d", c.Seq, prev, h.ID())
+				v("commit seq %d issued to both host %d and host %d", c.Seq, prev, h.id)
 			}
-			seqOwner[c.Seq] = h.ID()
-			all = append(all, seqCommit{h.ID(), c})
+			seqOwner[c.Seq] = h.id
+			all = append(all, seqCommit{h.id, c})
 		}
 	}
 
@@ -223,8 +246,7 @@ func CheckFleet(a *fleet.Arbiter) []Violation {
 		v("evacuee %q neither re-placed, shed, nor recorded lost", name)
 	}
 
-	asg := a.Assignments()
-	for name, h := range asg {
+	for name, h := range registry {
 		oh, live := owner[name]
 		switch {
 		case !live:
@@ -234,7 +256,7 @@ func CheckFleet(a *fleet.Arbiter) []Violation {
 		}
 	}
 	for name, h := range owner {
-		if _, ok := asg[name]; !ok {
+		if _, ok := registry[name]; !ok {
 			v("VM %q live on host %d by the ledgers but absent from the registry", name, h)
 		}
 	}

@@ -3,6 +3,7 @@ package verify
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"tableau/internal/fleet"
@@ -10,8 +11,10 @@ import (
 )
 
 // runFleetStorm drives one seeded random churn storm through a small
-// fleet and returns the arbiter for the oracle to inspect.
-func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
+// fleet and returns the arbiter for the oracle to inspect. With
+// doublePlace set, every PlaceBatch is followed by doublePlaceFirst;
+// the VMs it double-placed are returned.
+func runFleetStorm(t *testing.T, seed int64, doublePlace bool) (*fleet.Arbiter, []string) {
 	t.Helper()
 	a, err := fleet.New(fleet.Config{
 		Hosts: 10, Cores: 4, SlotsPerHost: 10, Placers: 3,
@@ -21,7 +24,18 @@ func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = a.Close() })
-	a.UnsafeDoublePlace = defect
+	var doubled []string
+	place := func(vms []fleet.VM) {
+		if _, err := a.PlaceBatch(vms); err != nil {
+			t.Fatal(err)
+		}
+		if !doublePlace {
+			return
+		}
+		if name := doublePlaceFirst(a, vms); name != "" {
+			doubled = append(doubled, name)
+		}
+	}
 
 	rng := rand.New(rand.NewSource(seed))
 	utils := []planner.Util{{Num: 1, Den: 8}, {Num: 1, Den: 4}, {Num: 1, Den: 2}, {Num: 3, Den: 4}}
@@ -44,9 +58,7 @@ func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
 		return vms
 	}
 
-	if _, err := a.PlaceBatch(mkVMs("v", 20+rng.Intn(25))); err != nil {
-		t.Fatal(err)
-	}
+	place(mkVMs("v", 20+rng.Intn(25)))
 	for round := 0; round < 2; round++ {
 		live := a.PlacedNames()
 		n := len(live) / 4
@@ -58,16 +70,40 @@ func runFleetStorm(t *testing.T, seed int64, defect bool) *fleet.Arbiter {
 		if _, err := a.DepartBatch(departs); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := a.PlaceBatch(mkVMs(fmt.Sprintf("c%d-", round), n+rng.Intn(8))); err != nil {
-			t.Fatal(err)
-		}
+		place(mkVMs(fmt.Sprintf("c%d-", round), n+rng.Intn(8)))
 	}
 	// A surge of big VMs past the admission edge: rejects, spare-pool
 	// sheds and unplaced tails must all leave the ledgers consistent.
-	if _, err := a.PlaceBatch(mkVMs("g", 12+rng.Intn(10))); err != nil {
-		t.Fatal(err)
+	place(mkVMs("g", 12+rng.Intn(10)))
+	return a, doubled
+}
+
+// doublePlaceFirst seeds the double-place defect after one PlaceBatch:
+// the batch's first placed VM is also committed to another Up host
+// with a free slot, behind the registry's back. It returns the VM's
+// name, or "" when no other host takes it.
+func doublePlaceFirst(a *fleet.Arbiter, batch []fleet.VM) string {
+	registry := a.Assignments()
+	for _, vm := range batch {
+		owner, placed := registry[vm.Name]
+		if !placed {
+			continue
+		}
+		for _, h := range a.Hosts() {
+			if h.ID() == owner {
+				continue
+			}
+			snap := h.Snapshot()
+			if snap.State != fleet.HostUp || snap.FreeSlots == 0 {
+				continue
+			}
+			if res, err := h.CommitPlacements(snap.Version, []fleet.VM{vm}); err == nil && len(res.Placed) == 1 {
+				return vm.Name
+			}
+		}
+		return ""
 	}
-	return a
+	return ""
 }
 
 // TestCheckFleetSeeds soaks the cross-host continuity oracle: 120
@@ -84,7 +120,7 @@ func TestCheckFleetSeeds(t *testing.T) {
 	}
 	var sheds int64
 	for seed := 0; seed < seeds; seed++ {
-		a := runFleetStorm(t, int64(seed), false)
+		a, _ := runFleetStorm(t, int64(seed), false)
 		if vs := CheckFleet(a); len(vs) != 0 {
 			for _, v := range vs {
 				t.Errorf("seed %d: %s", seed, v)
@@ -98,16 +134,34 @@ func TestCheckFleetSeeds(t *testing.T) {
 	}
 }
 
-// TestCheckFleetCatchesDoublePlace arms the UnsafeDoublePlace defect
-// (a VM committed to a second host behind the registry's back) and
-// demands the oracle convict it.
-func TestCheckFleetCatchesDoublePlace(t *testing.T) {
-	caught := false
-	for seed := int64(0); seed < 5 && !caught; seed++ {
-		a := runFleetStorm(t, seed, true)
-		caught = len(CheckFleet(a)) > 0
+// TestMutationSmokeDoublePlace seeds the double-place defect (a VM
+// committed to a second host behind the registry's back) into seeded
+// storms and demands the oracle convict every double-placed VM as live
+// on two hosts, while the same storms without the defect stay clean.
+func TestMutationSmokeDoublePlace(t *testing.T) {
+	convicted := 0
+	for seed := int64(0); seed < 5; seed++ {
+		clean, _ := runFleetStorm(t, seed, false)
+		if vs := CheckFleet(clean); len(vs) != 0 {
+			t.Fatalf("seed %d: clean twin flagged: %v", seed, vs)
+		}
+		a, doubled := runFleetStorm(t, seed, true)
+		vs := CheckFleet(a)
+		for _, name := range doubled {
+			prefix := fmt.Sprintf("VM %q placed on host ", name)
+			found := false
+			for _, v := range vs {
+				if strings.HasPrefix(v.Detail, prefix) && strings.Contains(v.Detail, " while live on host ") {
+					found = true
+				}
+			}
+			if !found {
+				t.Errorf("seed %d: double placement of %q escaped the fleet continuity oracle; got %v", seed, name, vs)
+			}
+			convicted++
+		}
 	}
-	if !caught {
-		t.Fatal("UnsafeDoublePlace escaped the fleet continuity oracle on every seed")
+	if convicted == 0 {
+		t.Fatal("the double-place defect never fired on any seed")
 	}
 }

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"tableau/internal/core"
@@ -134,17 +136,57 @@ func TestIncrementalScratchEquivalence(t *testing.T) {
 	}
 }
 
+// stalePlanVia returns a planning backend that plans incrementally
+// from its own previous plan, like a System with Incremental set. With
+// stale set it seeds the stale-slice-reuse defect: a same-named,
+// non-full vCPU whose reservation changed since the previous plan is
+// planned from its previous spec. The reconfiguration is ignored, and
+// the stale table still passes the planner's own final Check, because
+// its guarantees derive from the same stale spec.
+func stalePlanVia(stale bool) core.PlanFunc {
+	var prev *planner.PrevPlan
+	return func(specs []planner.VCPUSpec, opts planner.Options) (*planner.Result, error) {
+		planned := specs
+		if stale && prev != nil {
+			old := make(map[string]planner.VCPUSpec, len(prev.Specs))
+			for _, p := range prev.Specs {
+				old[p.Name] = p
+			}
+			planned = append([]planner.VCPUSpec(nil), specs...)
+			for i, c := range planned {
+				p, ok := old[c.Name]
+				if !ok || p.Util.IsFull() || c.Util.IsFull() {
+					continue
+				}
+				if c.Util != p.Util || c.LatencyGoal != p.LatencyGoal || c.Capped != p.Capped {
+					planned[i] = p
+				}
+			}
+		}
+		res, err := planner.PlanIncremental(planned, opts, prev)
+		if err != nil {
+			return nil, err
+		}
+		// The caller remaps res in place; keep a private planner-universe
+		// copy to diff the next plan against.
+		prev = &planner.PrevPlan{Specs: specs, Opts: opts, Res: res.Clone()}
+		return res, nil
+	}
+}
+
 // TestMutationSmokeStaleSliceReuse proves the epoch-fidelity oracle
 // earns its keep against the planner defect the evict oracle cannot
-// see: UnsafeStaleSliceReuse treats a reconfigured VM as untouched and
+// see: stale slice reuse treats a reconfigured VM as untouched and
 // re-plans it from its stale pre-reconfiguration spec. The resulting
 // epoch is completely self-consistent — its table passes Check against
 // its own guarantees, nobody loses a guarantee, the trace agrees — and
 // only the committed OpReconfigure's obligations reveal the lie.
 //
 // vm1's latency goal tightens from 20 ms to 5 ms mid-run. The correct
-// incremental planner marks vm1 dirty and re-synthesizes its core; the
-// defective one pins it with the stale 20 ms reservation.
+// planner marks vm1 dirty and re-synthesizes its core; the defective
+// backend plans it with the stale 20 ms reservation. The clean twins
+// run the default planning path and the same backend with the defect
+// off.
 func TestMutationSmokeStaleSliceReuse(t *testing.T) {
 	sc := &Scenario{
 		Seed:  11,
@@ -160,35 +202,44 @@ func TestMutationSmokeStaleSliceReuse(t *testing.T) {
 		Replan: &ReplanSpec{At: 60_000_000, Slot: 1, NewGoal: 5_000_000},
 	}
 
-	clean, err := runWith(sc, runKnobs{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := CheckAll(clean); len(vs) != 0 {
-		t.Fatalf("correct incremental planner flagged: %v", vs)
-	}
-	if len(clean.Transitions) != 2 {
-		t.Fatalf("expected 2 transitions (arrival, reconfigure), got %+v", clean.Transitions)
+	for _, twin := range []struct {
+		name string
+		k    runKnobs
+	}{
+		{"default planner", runKnobs{}},
+		{"planVia backend", runKnobs{planVia: stalePlanVia(false)}},
+	} {
+		clean, err := runWith(sc, twin.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vs := CheckAll(clean); len(vs) != 0 {
+			t.Fatalf("%s: correct planner flagged: %v", twin.name, vs)
+		}
+		if len(clean.Transitions) != 2 {
+			t.Fatalf("%s: expected 2 transitions (arrival, reconfigure), got %+v", twin.name, clean.Transitions)
+		}
 	}
 
-	evil, err := runWith(sc, runKnobs{staleSlice: true})
+	evil, err := runWith(sc, runKnobs{planVia: stalePlanVia(true)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The defect must have actually fired: the reconfiguration still
 	// committed an epoch (history: initial, arrival, reconfigure).
-	if len(evil.Controller.History()) < 3 {
-		t.Fatalf("stale-reuse defect did not install the reconfiguration epoch (history %d)",
-			len(evil.Controller.History()))
+	hist := evil.Controller.History()
+	if len(hist) != 3 {
+		t.Fatalf("stale-reuse defect did not install the reconfiguration epoch (history %d)", len(hist))
 	}
+	want := fmt.Sprintf("epoch %d blackout bound", hist[2].Version)
 	found := false
 	for _, v := range CheckAll(evil) {
-		if v.Class == ClassContinuity {
+		if v.Class == ClassContinuity && v.VCPU == 1 && strings.Contains(v.Detail, want) &&
+			strings.Contains(v.Detail, "exceeds the committed latency goal 5000000 ns") {
 			found = true
-			break
 		}
 	}
 	if !found {
-		t.Fatal("epoch-fidelity oracle missed the stale reservation")
+		t.Fatalf("epoch-fidelity oracle missed the stale reservation of slot 1; got %v", CheckAll(evil))
 	}
 }

@@ -89,42 +89,44 @@ func Run(sc *Scenario) (*Artifacts, error) {
 	return runWith(sc, runKnobs{})
 }
 
-// run keeps the historical mutation-smoke signature: an optional
-// scheduler wrapper and the UnsafeShedLSFirst switch.
-func run(sc *Scenario, wrap func(inner vmm.Scheduler) vmm.Scheduler, shedLSFirst bool) (*Artifacts, error) {
-	return runWith(sc, runKnobs{wrap: wrap, shedLSFirst: shedLSFirst})
-}
-
-// runKnobs selects run variants for tests: mutation-smoke defect
-// switches and planning-path overrides.
+// runKnobs selects run variants for tests. Mutation smoke seeds its
+// defects through these seams — never through an option of the
+// packages under test.
 type runKnobs struct {
 	// wrap installs an intentionally broken scheduler variant between
 	// the dispatcher and the machine.
 	wrap func(inner vmm.Scheduler) vmm.Scheduler
-	// shedLSFirst arms the Controller's UnsafeShedLSFirst defect.
-	shedLSFirst bool
-	// staleSlice arms the planner's UnsafeStaleSliceReuse defect.
-	staleSlice bool
-	// scratch disables the planning fast paths (cache, incremental) so
-	// every controller plan is computed from scratch.
-	scratch bool
+	// planVia, when set, is the controller's planning backend
+	// (core.Controller.PlanVia) in place of the local planner.
+	planVia core.PlanFunc
+	// invertClasses registers every slot in the System with the
+	// opposite tenancy class. The dispatcher, the tracer and the
+	// oracles keep the scenario's labels, so the controller's class
+	// policy runs inverted against the ground truth.
+	invertClasses bool
 }
 
 func runWith(sc *Scenario, k runKnobs) (*Artifacts, error) {
 	sys := core.NewSystem(sc.Cores, planner.Options{}, dispatch.Options{})
 	churny := len(sc.Spares) > 0 || len(sc.Churn) > 0
-	if churny && !k.scratch {
+	if churny {
 		// Arm the planning fast paths before the initial plan so the
 		// controller's very first flush can already diff against it.
 		sys.Cache = planner.NewCache(0)
 		sys.Incremental = true
 	}
-	sys.UnsafeStaleSliceReuse = k.staleSlice
 	for slot := 0; slot < sc.NumSlots(); slot++ {
 		vm := sc.VM(slot)
+		class := vm.Class
+		if k.invertClasses {
+			class = planner.LS
+			if vm.Class == planner.LS {
+				class = planner.BE
+			}
+		}
 		id, err := sys.AddVM(core.VMConfig{
 			Name: vm.Name, Util: vm.Util, LatencyGoal: vm.LatencyGoal, Capped: vm.Capped,
-			Class: vm.Class,
+			Class: class,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("verify: %s: %w", sc, err)
@@ -191,13 +193,11 @@ func runWith(sc *Scenario, k runKnobs) (*Artifacts, error) {
 		if err != nil {
 			return nil, fmt.Errorf("verify: %s: %w", sc, err)
 		}
-		ctrl.UnsafeShedLSFirst = k.shedLSFirst
-		if !k.scratch {
-			// The tracer records each installed epoch's plan origin for
-			// the oracles.
-			ctrl.Tracer = tr
-			ctrl.NowFn = m.Eng.Now
-		}
+		ctrl.PlanVia = k.planVia
+		// The tracer records each installed epoch's plan origin for the
+		// oracles.
+		ctrl.Tracer = tr
+		ctrl.NowFn = m.Eng.Now
 		art.Controller = ctrl
 	}
 	flush := func(now int64) *core.Transition {
